@@ -95,9 +95,8 @@ pub fn onchip_observed(
 /// running on one pair while the rest sit idle. Idle devices add fabric
 /// structure (their own ports, commtasks, and host-side actors) but do
 /// not shift the measured pair's timing — every scheme's cycle count is
-/// identical at 2 and 5 devices. Building the full platform means
-/// `VSCC_SHARDS` partitions fig6b runs into six execution groups (host
-/// + five devices) instead of three.
+/// identical at 2 and 5 devices. Building the full platform keeps the
+/// traces and metrics exports faithful to the machine the paper measured.
 pub const FIG_DEVICES: u8 = 5;
 
 /// Inter-device ping-pong between core 0 of device 0 and core 0 of

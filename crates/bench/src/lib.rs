@@ -2,10 +2,10 @@
 //!
 //! Every `cargo bench` target in this crate rebuilds one table or figure
 //! of the paper's evaluation (§4) and prints its rows/series; the
-//! `engine_micro` target additionally benchmarks the simulator itself with
-//! Criterion. Absolute numbers come from the calibrated simulation (see
-//! DESIGN.md §5); the *shapes* — orderings, ratios, crossovers — are the
-//! reproduction targets and are recorded in EXPERIMENTS.md.
+//! `engine_micro` target additionally measures the simulator's own
+//! host-side speed. Absolute numbers come from the calibrated simulation
+//! (see DESIGN.md §5); the *shapes* — orderings, ratios, crossovers — are
+//! the reproduction targets and are recorded in EXPERIMENTS.md.
 
 use std::sync::Mutex;
 
@@ -14,32 +14,13 @@ use des::trace::Trace;
 
 /// Print a figure/table banner. If a `VSCC_FAULTS` plan is active it is
 /// echoed here, so exported tables are never mistaken for clean-run
-/// numbers; likewise an active `VSCC_SHARDS` engine selection. An
-/// *invalid* `VSCC_SHARDS` value is a diagnosed error (exit 2), never a
-/// silent fallback to the serial engine.
+/// numbers.
 pub fn banner(id: &str, caption: &str) {
     println!("\n================================================================");
     println!("{id}: {caption}");
     println!("================================================================");
     if let Some(spec) = des::faultplan::spec_from_env() {
         println!("[faults] {} plan active: {spec}", des::obs::FAULTS_ENV);
-    }
-    match des::shard::shards_from_env() {
-        Ok(Some(n)) => {
-            // The resolved partition (`workers=M groups=G`, with the
-            // member devices of each execution group) is echoed by the
-            // first `VsccBuilder::build` of the run, which knows the
-            // coupling graph; this line only announces the selection.
-            println!(
-                "[engine] {}={n}: multi-group sharded engine (lockstep epochs)",
-                des::shard::SHARDS_ENV
-            )
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("[engine] {e}");
-            std::process::exit(2);
-        }
     }
 }
 

@@ -141,20 +141,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Outcome of a bounded scheduling window (see [`Sim::run_until`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStatus {
-    /// Every non-daemon task finished; carries the final timestamp.
-    Done(Cycles),
-    /// The window is exhausted: nothing is runnable and the next pending
-    /// timer fires at or beyond the bound. More work remains.
-    Bound,
-    /// Live tasks remain but nothing is runnable and no timer is pending
-    /// at all. In a standalone run this is a deadlock; in a sharded run
-    /// it may just mean the shard is waiting on a cross-shard message.
-    Stalled,
-}
-
 /// Host-side scheduler counters, for the wall-clock perf harness
 /// (`engine_micro`). These count *engine operations*, not simulated
 /// cycles, and never feed the virtual clock.
@@ -172,18 +158,6 @@ pub struct EngineStats {
     pub timers_cancelled: u64,
     /// Task wakeups drained from the wake queue.
     pub wakes: u64,
-}
-
-impl std::ops::AddAssign for EngineStats {
-    /// Aggregate counters across shard workers (see [`crate::shard`]).
-    fn add_assign(&mut self, o: EngineStats) {
-        self.spawned += o.spawned;
-        self.polls += o.polls;
-        self.timers_set += o.timers_set;
-        self.timers_fired += o.timers_fired;
-        self.timers_cancelled += o.timers_cancelled;
-        self.wakes += o.wakes;
-    }
 }
 
 impl EngineStats {
@@ -319,9 +293,6 @@ const ANON_NAME: u32 = 0;
 struct Inner {
     now: Cell<Cycles>,
     horizon: Cell<Cycles>,
-    /// Lockstep window width for epoch-sliced runs (0 = disabled; see
-    /// [`Sim::set_epoch_slice`]).
-    epoch_slice: Cell<Cycles>,
     tasks: RefCell<Vec<Slot>>,
     free: RefCell<Vec<TaskId>>,
     ready: RefCell<VecDeque<TaskId>>,
@@ -370,7 +341,6 @@ impl Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(0),
                 horizon: Cell::new(Cycles::MAX),
-                epoch_slice: Cell::new(0),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 ready: RefCell::new(VecDeque::new()),
@@ -418,11 +388,6 @@ impl Sim {
             *slot = Some(reason.into());
             self.inner.abort.set(true);
         }
-    }
-
-    /// Number of unfinished tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.live.get()
     }
 
     /// Number of registered-but-unfired timers. After a clean run this is
@@ -592,34 +557,8 @@ impl Sim {
         scratch.clear();
     }
 
-    /// Lockstep window width for epoch-sliced runs. When non-zero,
-    /// [`Sim::run`] drives the scheduler through bounded windows (next
-    /// pending event + `cycles` at a time) instead of one unbounded loop
-    /// — the decision stream is identical (the same pops happen in the
-    /// same order, just across multiple [`Sim::run_until`] calls), which
-    /// is the byte-identity contract `VSCC_SHARDS` relies on. Sharded
-    /// runs (see [`crate::shard`]) use the same windows with a barrier
-    /// exchange between them.
-    pub fn set_epoch_slice(&self, cycles: Cycles) {
-        self.inner.epoch_slice.set(cycles);
-    }
-
-    /// The configured lockstep window width (0 = disabled).
-    pub fn epoch_slice(&self) -> Cycles {
-        self.inner.epoch_slice.get()
-    }
-
-    /// Earliest pending live timer deadline, without disturbing the
-    /// wheel. The shard engine uses this between windows to pick the
-    /// next epoch bound.
-    pub fn next_timer_deadline(&self) -> Option<Cycles> {
-        self.inner.timers.borrow().earliest_live_deadline()
-    }
-
     /// Names of the live non-daemon tasks, from the interned table — the
-    /// payload of a [`SimError::Deadlock`] report. The shard engine
-    /// prefixes these with the shard name so a stalled barrier is
-    /// diagnosable.
+    /// payload of a [`SimError::Deadlock`] report.
     pub fn live_task_names(&self) -> Vec<String> {
         let tasks = self.inner.tasks.borrow();
         let names_table = self.inner.names.borrow();
@@ -635,45 +574,6 @@ impl Sim {
     /// Returns the final timestamp, or an error on deadlock / horizon
     /// overrun (the simulation state stays inspectable after an error).
     pub fn run(&self) -> Result<Cycles, SimError> {
-        let slice = self.inner.epoch_slice.get();
-        if slice == 0 {
-            return match self.run_until(Cycles::MAX)? {
-                RunStatus::Done(t) => Ok(t),
-                RunStatus::Stalled => Err(SimError::Deadlock(self.live_task_names())),
-                RunStatus::Bound => unreachable!("unbounded window cannot stop at the bound"),
-            };
-        }
-        // Epoch-sliced run: same scheduler, windowed. The bound skips
-        // ahead to (next pending event + slice) each window, so idle
-        // spans cost one window instead of one per slice.
-        let mut bound = match self.next_timer_deadline() {
-            Some(d) => d.saturating_add(slice),
-            None => slice,
-        };
-        loop {
-            match self.run_until(bound)? {
-                RunStatus::Done(t) => return Ok(t),
-                RunStatus::Stalled => return Err(SimError::Deadlock(self.live_task_names())),
-                RunStatus::Bound => {
-                    let next =
-                        self.next_timer_deadline().expect("Bound status implies a pending timer");
-                    bound = next.saturating_add(slice);
-                }
-            }
-        }
-    }
-
-    /// Run one bounded scheduling window: poll and wake freely, but only
-    /// fire timers with deadlines strictly below `bound` (`bound ==
-    /// Cycles::MAX` is the unbounded run and is inclusive, so a timer
-    /// registered *at* `Cycles::MAX` still fires). Returns
-    /// [`RunStatus::Bound`] once the only remaining work lies at or
-    /// beyond the bound. An unbounded [`Sim::run`] and any sequence of
-    /// windows covering the same span produce the *same* decision stream
-    /// — pops happen in the same order, just across multiple calls.
-    pub fn run_until(&self, bound: Cycles) -> Result<RunStatus, SimError> {
-        assert!(bound > 0, "epoch bound must be positive");
-        let cap = if bound == Cycles::MAX { Cycles::MAX } else { bound - 1 };
         loop {
             if self.inner.abort.get() {
                 let reason =
@@ -697,13 +597,12 @@ impl Sim {
             // All non-daemon tasks done: the run is complete (daemon
             // service loops never finish by design).
             if self.inner.live.get() == 0 {
-                return Ok(RunStatus::Done(self.inner.now.get()));
+                return Ok(self.inner.now.get());
             }
-            // No runnable task: advance time to the next live timer in
-            // the window.
+            // No runnable task: advance time to the next live timer.
             let fired = {
                 let mut timers = self.inner.timers.borrow_mut();
-                timers.pop_next_capped(cap).map(|(d, t)| (d, t, timers.last_popped_seq()))
+                timers.pop_next().map(|(d, t)| (d, t, timers.last_popped_seq()))
             };
             match fired {
                 Some((deadline, target, seq)) => {
@@ -741,13 +640,7 @@ impl Sim {
                         }
                     }
                 }
-                None => {
-                    return if self.inner.timers.borrow().is_empty() {
-                        Ok(RunStatus::Stalled)
-                    } else {
-                        Ok(RunStatus::Bound)
-                    };
-                }
+                None => return Err(SimError::Deadlock(self.live_task_names())),
             }
         }
     }
@@ -1207,110 +1100,6 @@ mod tests {
         assert_eq!(st.timers_cancelled, 0);
         assert!(st.polls >= 3);
         assert_eq!(st.wakes, st.timers_fired);
-    }
-
-    #[test]
-    fn run_until_windows_match_unbounded_run() {
-        // The same workload driven through bounded windows must produce
-        // the same final state as one unbounded run — the byte-identity
-        // contract behind epoch slicing.
-        fn spawn_workload(sim: &Sim) -> Rc<RefCell<Vec<(u64, u32)>>> {
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..4u32 {
-                let s = sim.clone();
-                let l = log.clone();
-                sim.spawn(async move {
-                    for k in 0..5u64 {
-                        s.delay(13 * (i as u64 + 1) + k).await;
-                        l.borrow_mut().push((s.now(), i));
-                    }
-                });
-            }
-            log
-        }
-        let serial = Sim::new();
-        let serial_log = spawn_workload(&serial);
-        let end = serial.run().unwrap();
-
-        let windowed = Sim::new();
-        let windowed_log = spawn_workload(&windowed);
-        let mut bound = 7;
-        let final_t = loop {
-            match windowed.run_until(bound).unwrap() {
-                RunStatus::Done(t) => break t,
-                RunStatus::Bound => bound += 7,
-                RunStatus::Stalled => panic!("workload cannot stall"),
-            }
-        };
-        assert_eq!(final_t, end);
-        assert_eq!(*serial_log.borrow(), *windowed_log.borrow());
-        assert_eq!(serial.engine_stats(), windowed.engine_stats());
-    }
-
-    #[test]
-    fn run_until_reports_stalled_without_timers() {
-        let sim = Sim::new();
-        sim.spawn_named("parked", std::future::pending::<()>());
-        assert_eq!(sim.run_until(100).unwrap(), RunStatus::Stalled);
-        assert_eq!(sim.live_task_names(), vec!["parked".to_string()]);
-    }
-
-    #[test]
-    fn epoch_slice_run_is_equivalent() {
-        fn run_once(slice: u64) -> (u64, EngineStats) {
-            let sim = Sim::new();
-            if slice > 0 {
-                sim.set_epoch_slice(slice);
-            }
-            for i in 0..3u32 {
-                let s = sim.clone();
-                sim.spawn(async move {
-                    for k in 0..4u64 {
-                        s.delay(1_000 * (i as u64 + 1) + k).await;
-                    }
-                });
-            }
-            let t = sim.run().unwrap();
-            (t, sim.engine_stats())
-        }
-        let baseline = run_once(0);
-        for slice in [1, 17, 1_000, u64::MAX] {
-            assert_eq!(run_once(slice), baseline, "slice {slice} diverged");
-        }
-    }
-
-    #[test]
-    fn epoch_slice_still_reports_deadlock() {
-        let sim = Sim::new();
-        sim.set_epoch_slice(50);
-        let s = sim.clone();
-        sim.spawn_named("stuck-sliced", async move {
-            s.delay(120).await;
-            std::future::pending::<()>().await;
-        });
-        match sim.run() {
-            Err(SimError::Deadlock(names)) => {
-                assert_eq!(names, vec!["stuck-sliced".to_string()])
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-        assert_eq!(sim.now(), 120);
-    }
-
-    #[test]
-    fn engine_stats_aggregate_with_add_assign() {
-        let mut a = EngineStats {
-            spawned: 1,
-            polls: 2,
-            timers_set: 3,
-            timers_fired: 4,
-            timers_cancelled: 5,
-            wakes: 6,
-        };
-        let b = a;
-        a += b;
-        assert_eq!(a.spawned, 2);
-        assert_eq!(a.events(), 2 * (2 + 3 + 4 + 5 + 6));
     }
 
     /// Poll a future exactly once with a no-op waker, then drop it.

@@ -38,12 +38,11 @@ pub mod faultplan;
 pub mod link;
 pub mod obs;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod sync;
 pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use executor::{EngineStats, JoinHandle, RunStatus, Sim, SimError};
+pub use executor::{EngineStats, JoinHandle, Sim, SimError};
 pub use time::{Cycles, Freq};

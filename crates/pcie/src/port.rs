@@ -35,10 +35,8 @@ pub enum ConduitKind {
 /// the payload plus the virtual time at which it becomes visible on
 /// the far side. Stamped only by [`DevicePort::stamp_to_host`] /
 /// [`DevicePort::stamp_to_device`], so every instance carries at least
-/// [`PcieModel::mmio_crossing_cycles`] of modeled delay — the property
-/// that makes the host↔device coupling a legal PDES cut (the conduit
-/// TLP is the `des::shard` boundary-message discipline applied to the
-/// MMIO plane).
+/// [`PcieModel::mmio_crossing_cycles`] of modeled delay: no control
+/// signal crosses the host↔device boundary for free.
 #[derive(Debug, Clone)]
 pub struct ConduitTlp<T> {
     /// What kind of control signal this is.
@@ -87,8 +85,7 @@ impl DevicePort {
     /// wire time and return the stamped TLP plus the posted-completion
     /// point (`wire_free`) at which the sender may continue. The
     /// arrival stamp is checked against the model's minimum crossing
-    /// cost — the boundary discipline the multi-group partition relies
-    /// on (DESIGN.md §5i).
+    /// cost (DESIGN.md §5i).
     pub fn stamp_to_host<T>(
         &self,
         sim: &Sim,

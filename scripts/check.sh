@@ -54,18 +54,6 @@ VSCC_AUDIT="$AUDIT_TMP/b.json" cargo bench -p vscc-bench --bench fig6b_interdevi
 cmp -s "$AUDIT_TMP/a.json" "$AUDIT_TMP/b.json" || { echo "audit exports not byte-identical"; exit 1; }
 cargo run -q --example audit_diff -- "$AUDIT_TMP/a.json" "$AUDIT_TMP/b.json"
 
-echo "== shard smoke (VSCC_SHARDS=5 fig6b audit byte-identical to serial) =="
-# The multi-group engine's correctness contract (DESIGN.md §5i): the
-# latency-stamped MMIO boundary partitions the fig6b system into one
-# execution group per device plus the host, and the same run under
-# VSCC_SHARDS=5 (one worker per group) must export the same audit
-# stream as the serial engine, byte for byte. The committed-golden
-# version of this gate (all four exports, shards 1/2/5) already ran
-# inside `cargo test --test golden_exports`; this cross-checks the
-# env-var path end to end.
-VSCC_SHARDS=5 VSCC_AUDIT="$AUDIT_TMP/s.json" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
-cmp -s "$AUDIT_TMP/a.json" "$AUDIT_TMP/s.json" || { echo "VSCC_SHARDS=5 audit diverged from serial"; exit 1; }
-
 if [ "${VSCC_PERF_SKIP:-}" = "1" ]; then
     echo "== perf smoke: skipped (VSCC_PERF_SKIP=1) =="
 else
@@ -75,10 +63,7 @@ else
     # baseline, or a datapath scenario's allocations-per-message rises
     # >20% above it (the alloc counter is deterministic, so that gate is
     # noise-free), or the audited data-path twin loses >10% events/sec
-    # against its audit-off twin (the audit-overhead budget). The same
-    # invocation gates the sharded engine's scaling: on hosts with >= 4
-    # cores the 4-device sharded ring must hit >= 1.8x the serial
-    # events/sec (skipped with a diagnostic on smaller machines).
+    # against its audit-off twin (the audit-overhead budget).
     # Wall-clock only — the virtual clock never sees it.
     # Set VSCC_PERF_SKIP=1 on noisy/shared machines.
     VSCC_PERF_FAST=1 VSCC_PERF_GATE=1 cargo bench -p vscc-bench --bench engine_micro
