@@ -6,11 +6,15 @@
 //! metric increments, disabled-category tracing, the inter-device data
 //! path, the audit stream), prints the headline before/after numbers
 //! against the recorded pre-optimisation baselines, and writes a
-//! machine-readable `target/BENCH_engine.json`. With
-//! `VSCC_PERF_GATE=1` it exits non-zero if any scenario's events/sec
-//! regressed more than 30 % against the committed repo-root
-//! `BENCH_engine.json` (the perf-trajectory baseline);
-//! `VSCC_PERF_FAST=1` shrinks sample counts for CI smoke use.
+//! machine-readable `target/BENCH_engine.json`. Every timed sample is
+//! preceded by a run of the fixed host-speed reference loop
+//! (`vscc_bench::host_speed`); the median of the per-sample ratios gives
+//! a *speed-corrected* events/sec that follows the code, not the host's
+//! speed phase. With `VSCC_PERF_GATE=1` it exits non-zero if any
+//! scenario's speed-corrected events/sec regressed more than 30 %
+//! against the committed repo-root `BENCH_engine.json` (the
+//! perf-trajectory baseline); `VSCC_PERF_FAST=1` shrinks sample counts
+//! for CI smoke use.
 //!
 //! Wall-clock here is measurement-only: nothing read from `Instant`
 //! ever feeds the virtual clock (determinism invariant #1).
@@ -77,6 +81,7 @@ mod harness {
     use des::trace::{Category, Trace};
     use des::Sim;
     use vscc::{CommScheme, VsccBuilder};
+    use vscc_bench::host_speed;
 
     use super::counting_alloc;
 
@@ -95,7 +100,8 @@ mod harness {
     const PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG: f64 = 101.7;
     const PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG: f64 = 318.4;
     /// Regression gate: fail `VSCC_PERF_GATE=1` runs when a scenario's
-    /// events/sec drops below this fraction of the committed baseline.
+    /// speed-corrected events/sec drops below this fraction of the
+    /// committed baseline.
     const GATE_RATIO: f64 = 0.70;
     /// Allocation gate: fail when a data-path scenario allocates more
     /// than this multiple of the committed allocations-per-message.
@@ -114,6 +120,10 @@ mod harness {
         /// Engine events of one sample (identical across samples: the
         /// workloads are deterministic).
         events: u64,
+        /// Median host time of the reference loop run before each sample.
+        ref_ns: f64,
+        /// Median over samples of `sample time / adjacent reference time`.
+        per_ref: f64,
         /// Host allocations per one-way message (data-path scenarios
         /// only). Deterministic: the workload is single-threaded and
         /// seeded, so the count is exact, not sampled.
@@ -125,21 +135,53 @@ mod harness {
         fn events_per_sec(&self) -> f64 {
             self.events as f64 / (self.min_ns / 1e9)
         }
+
+        /// Events/sec scaled to the nominal host speed: the host's speed
+        /// phase cancels out of each sample's ratio to its reference run.
+        fn corrected_events_per_sec(&self) -> f64 {
+            self.events as f64 / host_speed::nominal_seconds(self.per_ref)
+        }
+
+        fn from_samples(name: &'static str, events: u64, times: &[f64], refs: &[f64]) -> Outcome {
+            let ratios: Vec<f64> = times.iter().zip(refs).map(|(t, r)| t / r).collect();
+            Outcome {
+                name,
+                samples: times.len(),
+                mean_ns: times.iter().sum::<f64>() / times.len() as f64,
+                min_ns: times.iter().copied().fold(f64::INFINITY, f64::min),
+                events,
+                ref_ns: median(refs),
+                per_ref: median(&ratios),
+                allocs_per_msg: None,
+            }
+        }
     }
 
-    /// Run `routine` `samples` times, timing each; it returns the
-    /// number of engine events one sample performs.
+    fn median(xs: &[f64]) -> f64 {
+        let mut v = xs.to_vec();
+        v.sort_by(f64::total_cmp);
+        let mid = v.len() / 2;
+        if v.len() % 2 == 1 {
+            v[mid]
+        } else {
+            (v[mid - 1] + v[mid]) / 2.0
+        }
+    }
+
+    /// Run `routine` `samples` times, timing each after a run of the
+    /// host-speed reference loop; it returns the number of engine events
+    /// one sample performs.
     fn measure(name: &'static str, samples: usize, mut routine: impl FnMut() -> u64) -> Outcome {
         let mut events = routine(); // warmup, untimed
         let mut times = Vec::with_capacity(samples);
+        let mut refs = Vec::with_capacity(samples);
         for _ in 0..samples {
+            refs.push(host_speed::reference_ns());
             let start = Instant::now();
             events = black_box(routine());
             times.push(start.elapsed().as_nanos() as f64);
         }
-        let mean_ns = times.iter().sum::<f64>() / times.len() as f64;
-        let min_ns = times.iter().copied().fold(f64::INFINITY, f64::min);
-        Outcome { name, samples, mean_ns, min_ns, events, allocs_per_msg: None }
+        Outcome::from_samples(name, events, &times, &refs)
     }
 
     /// Scheduler events of a finished run: polls, timer traffic, wakes.
@@ -350,7 +392,9 @@ mod harness {
         let mut ev_off = run_off(); // warmup, untimed
         let mut ev_on = run_on();
         let (mut t_off, mut t_on) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut refs = Vec::with_capacity(n);
         for _ in 0..n {
+            refs.push(host_speed::reference_ns());
             let start = Instant::now();
             ev_off = black_box(run_off());
             t_off.push(start.elapsed().as_nanos() as f64);
@@ -358,17 +402,9 @@ mod harness {
             ev_on = black_box(run_on());
             t_on.push(start.elapsed().as_nanos() as f64);
         }
-        let outcome = |name, times: &[f64], events| Outcome {
-            name,
-            samples: n,
-            mean_ns: times.iter().sum::<f64>() / times.len() as f64,
-            min_ns: times.iter().copied().fold(f64::INFINITY, f64::min),
-            events,
-            allocs_per_msg: None,
-        };
         (
-            outcome("audit/interdevice_8k_vdma_off", &t_off, ev_off),
-            outcome("audit/interdevice_8k_vdma_audited", &t_on, ev_on),
+            Outcome::from_samples("audit/interdevice_8k_vdma_off", ev_off, &t_off, &refs),
+            Outcome::from_samples("audit/interdevice_8k_vdma_audited", ev_on, &t_on, &refs),
         )
     }
 
@@ -386,8 +422,13 @@ mod harness {
     }
 
     fn write_json(outcomes: &[Outcome], cores: usize, path: &std::path::Path) {
-        let mut s = String::from("{\n  \"schema\": \"vscc-engine-bench-v4\",\n");
+        let mut s = String::from("{\n  \"schema\": \"vscc-engine-bench-v5\",\n");
         s.push_str(&format!("  \"host_cores\": {cores},\n"));
+        s.push_str(&format!(
+            "  \"reference\": {{ \"events\": {}, \"nominal_ns\": {:.0} }},\n",
+            host_speed::REFERENCE_EVENTS,
+            host_speed::NOMINAL_REFERENCE_NS
+        ));
         s.push_str(&format!(
             "  \"pre_pr_baseline\": {{ \"spawn_delay_10k_tasks_ms\": {{ \"mean\": {PRE_PR_SPAWN_DELAY_MEAN_MS}, \"min\": {PRE_PR_SPAWN_DELAY_MIN_MS} }}, \"datapath_allocs_per_msg\": {{ \"interdevice_1k_wcb\": {PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG}, \"interdevice_8k_swcache\": {PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG} }} }},\n"
         ));
@@ -398,13 +439,15 @@ mod harness {
                 None => String::new(),
             };
             s.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"samples\": {}, \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"events\": {}, \"events_per_sec\": {:.0}{} }}{}\n",
+                "    {{ \"name\": \"{}\", \"samples\": {}, \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"events\": {}, \"events_per_sec\": {:.0}, \"ref_ns\": {:.0}, \"corrected_events_per_sec\": {:.0}{} }}{}\n",
                 o.name,
                 o.samples,
                 o.mean_ns,
                 o.min_ns,
                 o.events,
                 o.events_per_sec(),
+                o.ref_ns,
+                o.corrected_events_per_sec(),
                 allocs,
                 if i + 1 < outcomes.len() { "," } else { "" }
             ));
@@ -431,16 +474,16 @@ mod harness {
         tail[..end].parse().ok()
     }
 
-    fn baseline_events_per_sec(text: &str, name: &str) -> Option<f64> {
-        baseline_field(text, name, "events_per_sec")
+    fn baseline_corrected_events_per_sec(text: &str, name: &str) -> Option<f64> {
+        baseline_field(text, name, "corrected_events_per_sec")
     }
 
     pub fn run() {
         println!();
         println!("engine wall-clock harness (host time; never feeds the virtual clock)");
         println!(
-            "{:<36} {:>8} {:>12} {:>12} {:>12} {:>14} {:>12}",
-            "scenario", "samples", "mean", "min", "events", "events/sec", "allocs/msg"
+            "{:<36} {:>8} {:>12} {:>12} {:>12} {:>14} {:>14} {:>12}",
+            "scenario", "samples", "mean", "min", "events", "events/sec", "corrected", "allocs/msg"
         );
 
         let (audit_off, audit_on) = audit_pair();
@@ -462,13 +505,14 @@ mod harness {
                 None => "-".to_string(),
             };
             println!(
-                "{:<36} {:>8} {:>10.3}ms {:>10.3}ms {:>12} {:>14.0} {:>12}",
+                "{:<36} {:>8} {:>10.3}ms {:>10.3}ms {:>12} {:>14.0} {:>14.0} {:>12}",
                 o.name,
                 o.samples,
                 o.mean_ns / 1e6,
                 o.min_ns / 1e6,
                 o.events,
                 o.events_per_sec(),
+                o.corrected_events_per_sec(),
                 allocs
             );
         }
@@ -502,6 +546,8 @@ mod harness {
         }
 
         let gate = std::env::var("VSCC_PERF_GATE").map(|v| v == "1").unwrap_or(false);
+        // Every gate is evaluated and reported before the run fails.
+        let mut failures = Vec::new();
         let (audit_off, audit_on) = (&outcomes[8], &outcomes[9]);
         let audit_ratio = audit_on.events_per_sec() / audit_off.events_per_sec();
         println!();
@@ -511,13 +557,12 @@ mod harness {
             audit_off.events_per_sec(),
             audit_on.events_per_sec(),
         );
-        if gate && audit_ratio < AUDIT_GATE_RATIO {
-            eprintln!(
-                "PERF GATE FAILED: audit stream costs {:.1}% events/sec (budget {:.0}%)",
+        if audit_ratio < AUDIT_GATE_RATIO {
+            failures.push(format!(
+                "audit stream costs {:.1}% events/sec (budget {:.0}%)",
                 (1.0 - audit_ratio) * 100.0,
                 (1.0 - AUDIT_GATE_RATIO) * 100.0
-            );
-            std::process::exit(1);
+            ));
         }
 
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
@@ -536,10 +581,10 @@ mod harness {
                 println!();
                 println!("vs committed baseline ({}):", baseline_path.display());
                 for o in &outcomes {
-                    match baseline_events_per_sec(&text, o.name) {
+                    match baseline_corrected_events_per_sec(&text, o.name) {
                         Some(base) if base > 0.0 => {
-                            let ratio = o.events_per_sec() / base;
-                            println!("  {:<36} {:>6.2}x baseline", o.name, ratio);
+                            let ratio = o.corrected_events_per_sec() / base;
+                            println!("  {:<36} {:>6.2}x baseline (speed-corrected)", o.name, ratio);
                             if ratio < GATE_RATIO {
                                 failed.push((o.name, ratio));
                             }
@@ -558,29 +603,27 @@ mod harness {
                         }
                     }
                 }
-                if gate && !failed.is_empty() {
-                    eprintln!(
-                        "PERF GATE FAILED: events/sec regressed >{:.0}% on: {}",
+                if !failed.is_empty() {
+                    failures.push(format!(
+                        "speed-corrected events/sec regressed >{:.0}% on: {}",
                         (1.0 - GATE_RATIO) * 100.0,
                         failed
                             .iter()
                             .map(|(n, r)| format!("{n} ({r:.2}x)"))
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(1);
+                    ));
                 }
-                if gate && !alloc_failed.is_empty() {
-                    eprintln!(
-                        "PERF GATE FAILED: allocations/message regressed >{:.0}% on: {}",
+                if !alloc_failed.is_empty() {
+                    failures.push(format!(
+                        "allocations/message regressed >{:.0}% on: {}",
                         (ALLOC_GATE_RATIO - 1.0) * 100.0,
                         alloc_failed
                             .iter()
                             .map(|(n, r)| format!("{n} ({r:.2}x)"))
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(1);
+                    ));
                 }
             }
             Err(_) => {
@@ -588,11 +631,14 @@ mod harness {
                     "no committed baseline at {}; skipping comparison",
                     baseline_path.display()
                 );
-                if gate {
-                    eprintln!("PERF GATE FAILED: VSCC_PERF_GATE=1 but no committed baseline");
-                    std::process::exit(1);
-                }
+                failures.push("VSCC_PERF_GATE=1 but no committed baseline".to_string());
             }
+        }
+        if gate && !failures.is_empty() {
+            for f in &failures {
+                eprintln!("PERF GATE FAILED: {f}");
+            }
+            std::process::exit(1);
         }
     }
 }

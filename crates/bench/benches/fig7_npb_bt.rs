@@ -40,11 +40,23 @@ fn main() {
         vscc_bench::header("cores", &["optimal".into(), "worst".into(), "ratio".into()])
     );
 
-    let rows = vscc_bench::parallel_sweep(&counts, |&ranks| {
-        let best = bt_gflops(CommScheme::LocalPutLocalGet, ranks);
-        let worst = bt_gflops(CommScheme::SimpleRouting, ranks);
-        (ranks, best, worst)
-    });
+    // One sweep item per (ranks, scheme), heaviest first: the largest
+    // runs start at once on separate threads instead of queueing behind
+    // each other, and the light tail fills in around them.
+    let mut runs: Vec<(usize, CommScheme)> = counts
+        .iter()
+        .flat_map(|&r| [(r, CommScheme::LocalPutLocalGet), (r, CommScheme::SimpleRouting)])
+        .collect();
+    runs.reverse();
+    let gflops = vscc_bench::parallel_sweep(&runs, |&(ranks, scheme)| bt_gflops(scheme, ranks));
+    let of = |ranks, scheme| {
+        let i = runs.iter().position(|&run| run == (ranks, scheme)).expect("swept point");
+        gflops[i]
+    };
+    let rows: Vec<(usize, f64, f64)> = counts
+        .iter()
+        .map(|&r| (r, of(r, CommScheme::LocalPutLocalGet), of(r, CommScheme::SimpleRouting)))
+        .collect();
 
     for (ranks, best, worst) in &rows {
         println!("{}", vscc_bench::row(&format!("{ranks:>5}"), &[*best, *worst, *best / *worst]));

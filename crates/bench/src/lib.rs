@@ -9,6 +9,8 @@
 
 use std::sync::Mutex;
 
+pub mod host_speed;
+
 use des::obs::{Registry, TimeSeries, AUDIT_ENV, METRICS_ENV, TIMESERIES_ENV, TRACE_ENV};
 use des::trace::Trace;
 

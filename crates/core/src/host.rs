@@ -1066,29 +1066,57 @@ impl HostSide {
         });
     }
 
-    /// One fully transparent routed line round trip (the 2012 baseline).
-    async fn routed_round_trip(&self, requester: DeviceId, target: DeviceId, flow: Option<u64>) {
-        let sim = &self.sim;
-        let m = &self.cfg.model;
-        let rport = self.fabric.port(requester);
-        let tport = self.fabric.port(target);
-        // Request: requester SIF out -> daemon -> target SIF in.
-        rport.egress.transfer(sim, LINE_BYTES as u64).await;
-        sim.delay(m.sw_forward_cycles).await;
-        tport.ingress.transfer(sim, LINE_BYTES as u64).await;
-        // Response: target SIF out -> daemon -> requester SIF in.
-        tport.egress.transfer(sim, LINE_BYTES as u64).await;
-        sim.delay(m.sw_forward_cycles).await;
-        rport.ingress.transfer(sim, LINE_BYTES as u64).await;
-        self.stats.routed_lines.inc();
-        self.trace.instant_f(
-            sim.now(),
-            Category::Pcie,
-            "routed_line",
-            flow,
-            || self.commtask_label(requester.0),
-            || fields![target_dev = target.0 as u64],
-        );
+    /// `n` fully transparent routed line round trips, one after the
+    /// other (the 2012 baseline). Each line's request leaves the
+    /// requester's SIF, is forwarded by the daemon into the target's SIF,
+    /// and its response takes the same way back: four link reservations
+    /// and two software-forwarding waits, run as a step machine so each
+    /// timed event costs one executor step instead of a poll through the
+    /// requesting rank's whole future.
+    fn routed_lines(
+        &self,
+        requester: DeviceId,
+        target: DeviceId,
+        n: usize,
+        flow: Option<u64>,
+    ) -> des::Steps {
+        let this = self.rc_self();
+        let (rport, tport) = (self.fabric.port(requester), self.fabric.port(target));
+        let hops = [
+            Some(rport.egress.clone()),
+            None,
+            Some(tport.ingress.clone()),
+            Some(tport.egress.clone()),
+            None,
+            Some(rport.ingress.clone()),
+        ];
+        let forward = self.cfg.model.sw_forward_cycles;
+        let mut phase = 0;
+        let mut left = n;
+        self.sim.steps(move |sim| {
+            if phase == hops.len() {
+                this.stats.routed_lines.inc();
+                this.trace.instant_f(
+                    sim.now(),
+                    Category::Pcie,
+                    "routed_line",
+                    flow,
+                    || this.commtask_label(requester.0),
+                    || fields![target_dev = target.0 as u64],
+                );
+                left -= 1;
+                phase = 0;
+            }
+            if left == 0 {
+                return None;
+            }
+            let until = match &hops[phase] {
+                Some(link) => link.reserve(sim, LINE_BYTES as u64),
+                None => sim.now().saturating_add(forward),
+            };
+            phase += 1;
+            Some(until)
+        })
     }
 }
 
@@ -1164,9 +1192,7 @@ impl RemoteFabric for HostSide {
                 self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                     fields![bytes = len as u64, lines = n_lines as u64]
                 });
-                for _ in 0..n_lines {
-                    self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                }
+                self.routed_lines(src.device, addr.owner.device, n_lines, flow).await;
                 self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                 self.device(addr.owner.device)
                     .mpb(addr.owner.core)
@@ -1212,9 +1238,7 @@ impl RemoteFabric for HostSide {
                     self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64, lines = n_lines as u64]
                     });
-                    for _ in 0..n_lines {
-                        self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                    }
+                    self.routed_lines(src.device, addr.owner.device, n_lines, flow).await;
                     self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                     if let Some(m) = self.monitor_of(addr.owner.device) {
                         m.host_write(src, addr, &data, flow);

@@ -16,6 +16,12 @@
 //! `Arc<TaskWaker>` that is fully thread-safe. The wake queue drains
 //! through a reusable swap buffer, and task names are interned ids
 //! resolved to strings only on the deadlock error path.
+//!
+//! A task that spends long stretches waiting on a fixed sequence of
+//! timed events can run them as a *step machine* ([`Sim::steps`]): the
+//! machine is installed in the task's slot, and when only its own timer
+//! woke the task, the task's turn calls the machine directly instead of
+//! polling down through the task's whole future.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -26,6 +32,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Wake, Waker};
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::time::Cycles;
@@ -172,6 +179,16 @@ impl EngineStats {
 #[derive(Default)]
 struct WakeQueue {
     ids: Mutex<Vec<TaskId>>,
+    /// Set by every push, cleared by the drain: lets the step-machine
+    /// fast path skip the lock when nothing is queued.
+    non_empty: AtomicBool,
+}
+
+impl WakeQueue {
+    fn push(&self, id: TaskId) {
+        self.ids.lock().unwrap_or_else(PoisonError::into_inner).push(id);
+        self.non_empty.store(true, Ordering::Relaxed);
+    }
 }
 
 struct TaskWaker {
@@ -181,11 +198,11 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(self.id);
+        self.queue.push(self.id);
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(self.id);
+        self.queue.push(self.id);
     }
 }
 
@@ -195,6 +212,10 @@ impl Wake for TaskWaker {
 /// to a real waker.
 enum WakeTarget {
     Task(TaskId),
+    /// A task timer armed by the task's installed step machine. Fires
+    /// exactly like `Task`, and additionally marks the wake as the
+    /// machine's own.
+    Step(TaskId),
     External(Waker),
 }
 
@@ -246,7 +267,7 @@ unsafe fn hub_wake_by_ref(data: *const ()) {
     let hub = &*(data as *const WakerHub);
     let id = hub.current.get();
     debug_assert_ne!(id, NO_TASK, "hub waker used outside a poll");
-    hub.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(id);
+    hub.queue.push(id);
 }
 
 unsafe fn hub_drop(_data: *const ()) {}
@@ -265,6 +286,23 @@ struct Slot {
     /// Daemon tasks (e.g. host service loops) do not keep the simulation
     /// alive: the run ends when every non-daemon task finished.
     daemon: bool,
+    /// The task's installed step machine (see [`Sim::steps`]).
+    machine: Option<StepMachine>,
+    /// The task was queued by its step machine's timer and by nothing
+    /// else since its last poll.
+    step_wake: bool,
+}
+
+/// A boxed [`Sim::steps`] function.
+type StepFn = Box<dyn FnMut(&Sim) -> Option<Cycles>>;
+
+/// A step function installed in its task's slot, with its armed timer.
+struct StepMachine {
+    step: StepFn,
+    deadline: Cycles,
+    timer: Option<TimerId>,
+    /// Identifies the [`Steps`] future that owns this machine.
+    token: u64,
 }
 
 /// Interned task names: spawning with a name already seen costs one hash
@@ -314,6 +352,8 @@ struct Inner {
     stat_timers_fired: Cell<u64>,
     stat_timers_cancelled: Cell<u64>,
     stat_wakes: Cell<u64>,
+    /// Source of [`StepMachine::token`]s.
+    step_tokens: Cell<u64>,
 }
 
 /// Handle to the simulation. Cheap to clone; all clones share the clock,
@@ -362,6 +402,7 @@ impl Sim {
                 stat_timers_fired: Cell::new(0),
                 stat_timers_cancelled: Cell::new(0),
                 stat_wakes: Cell::new(0),
+                step_tokens: Cell::new(0),
             }),
         }
     }
@@ -456,10 +497,20 @@ impl Sim {
                 slot.queued = true;
                 slot.live = true;
                 slot.daemon = daemon;
+                slot.machine = None;
+                slot.step_wake = false;
                 id
             } else {
                 let id = tasks.len();
-                tasks.push(Slot { task: Some(run), name, queued: true, live: true, daemon });
+                tasks.push(Slot {
+                    task: Some(run),
+                    name,
+                    queued: true,
+                    live: true,
+                    daemon,
+                    machine: None,
+                    step_wake: false,
+                });
                 id
             }
         };
@@ -498,6 +549,83 @@ impl Sim {
         YieldNow { yielded: false }
     }
 
+    /// Run `step` as a step machine: a future that behaves exactly like
+    /// the `async` loop `while let Some(d) = step(&sim) {
+    /// sim.delay_until(d).await }`, in virtual time, timer order, ready
+    /// queue positions, [`EngineStats`] and audit records.
+    ///
+    /// The first poll calls `step` at once. Each `Some(deadline)` in the
+    /// future arms one task timer (a deadline not after `now()` calls
+    /// `step` again in the same turn, as a ready `Delay` would), and the
+    /// machine is installed in the awaiting task's slot. When that timer
+    /// alone woke the task, the task's turn counts its poll and then
+    /// calls `step` directly instead of polling the task's future; on
+    /// `None` it polls the future in the same turn, which resolves this
+    /// one. Any other wake polls the future as usual: before the
+    /// deadline that runs no step, at or after it the step runs from
+    /// inside the poll. Dropping the future withdraws its timer.
+    ///
+    /// Exactness assumes every other future the task awaits alongside
+    /// this one wakes the task when it becomes ready, registering one
+    /// waker per wait (as channels and join handles do). One task runs
+    /// at most one step machine at a time. Awaiting the future outside a
+    /// task of this simulation panics.
+    pub fn steps(&self, step: impl FnMut(&Sim) -> Option<Cycles> + 'static) -> Steps {
+        Steps { sim: self.clone(), state: StepsState::Fresh(Box::new(step)) }
+    }
+
+    /// Call `m.step` until it returns `None` (`false`) or a deadline
+    /// after `now()`, which arms `m`'s timer for `task` (`true`).
+    fn advance(&self, m: &mut StepMachine, task: TaskId) -> bool {
+        let now = self.now();
+        loop {
+            match (m.step)(self) {
+                None => return false,
+                Some(d) if d > now => {
+                    m.deadline = d;
+                    m.timer = Some(self.register_timer(d, WakeTarget::Step(task)));
+                    return true;
+                }
+                Some(_) => {}
+            }
+        }
+    }
+
+    /// Run the machine installed in `task`'s slot (under `token`, or
+    /// whichever is installed) if its deadline has come. `true`: it stays
+    /// installed, not yet due or re-armed; `false`: there is none or it
+    /// finished, and the task's future must be polled.
+    fn step_due(&self, task: TaskId, token: Option<u64>) -> bool {
+        let taken = {
+            let mut tasks = self.inner.tasks.borrow_mut();
+            let slot = &mut tasks[task];
+            match &slot.machine {
+                Some(m) if token.is_none_or(|t| t == m.token) => slot.machine.take(),
+                _ => None,
+            }
+        };
+        let Some(mut m) = taken else { return false };
+        let pending = if self.now() < m.deadline {
+            true
+        } else {
+            if let Some(id) = m.timer.take() {
+                self.cancel_timer(id);
+            }
+            self.advance(&mut m, task)
+        };
+        if pending {
+            self.inner.tasks.borrow_mut()[task].machine = Some(m);
+        }
+        pending
+    }
+
+    /// Whether an undrained wake targets `task`.
+    fn wake_pending(&self, task: TaskId) -> bool {
+        let queue = &self.inner.wake_queue;
+        queue.non_empty.load(Ordering::Relaxed)
+            && queue.ids.lock().unwrap_or_else(PoisonError::into_inner).contains(&task)
+    }
+
     fn register_timer(&self, deadline: Cycles, target: WakeTarget) -> TimerId {
         self.inner.stat_timers_set.set(self.inner.stat_timers_set.get() + 1);
         let mut timers = self.inner.timers.borrow_mut();
@@ -533,6 +661,7 @@ impl Sim {
             if ids.is_empty() {
                 return;
             }
+            self.inner.wake_queue.non_empty.store(false, Ordering::Relaxed);
             // Swap instead of take: both vectors keep their capacity, so
             // steady-state draining allocates nothing.
             std::mem::swap(&mut *ids, &mut *scratch);
@@ -542,6 +671,7 @@ impl Sim {
         let mut ready = self.inner.ready.borrow_mut();
         for &id in scratch.iter() {
             if let Some(slot) = tasks.get_mut(id) {
+                slot.step_wake = false;
                 if slot.live && !slot.queued {
                     slot.queued = true;
                     ready.push_back(id);
@@ -651,12 +781,17 @@ impl Sim {
     fn fire_timer(&self, target: WakeTarget) {
         self.inner.stat_timers_fired.set(self.inner.stat_timers_fired.get() + 1);
         match target {
-            WakeTarget::Task(id) => {
+            WakeTarget::Task(id) | WakeTarget::Step(id) => {
                 self.inner.stat_wakes.set(self.inner.stat_wakes.get() + 1);
+                let own_step = matches!(target, WakeTarget::Step(_));
                 let mut tasks = self.inner.tasks.borrow_mut();
                 if let Some(slot) = tasks.get_mut(id) {
+                    if !own_step {
+                        slot.step_wake = false;
+                    }
                     if slot.live && !slot.queued {
                         slot.queued = true;
+                        slot.step_wake = own_step;
                         self.inner.ready.borrow_mut().push_back(id);
                         crate::audit::record_at(
                             self.inner.now.get(),
@@ -682,14 +817,14 @@ impl Sim {
     }
 
     fn poll_task(&self, id: TaskId) {
-        let task = {
+        let (task, step_wake) = {
             let mut tasks = self.inner.tasks.borrow_mut();
             let slot = &mut tasks[id];
             slot.queued = false;
             if !slot.live {
                 return;
             }
-            slot.task.take().expect("live task has runner")
+            (slot.task.take().expect("live task has runner"), std::mem::take(&mut slot.step_wake))
         };
         self.inner.stat_polls.set(self.inner.stat_polls.get() + 1);
         crate::audit::record_at(
@@ -698,6 +833,12 @@ impl Sim {
             id as u64,
             0,
         );
+        // Only the machine's own timer woke the task: polling the future
+        // would reach the machine and nothing else, so call it directly.
+        if step_wake && !self.wake_pending(id) && self.step_due(id, None) {
+            self.inner.tasks.borrow_mut()[id].task = Some(task);
+            return;
+        }
         let hub = &self.inner.hub;
         hub.current.set(id);
         // SAFETY: the hub waker borrows `self.inner.hub`, which outlives
@@ -799,6 +940,82 @@ impl Drop for Delay {
     fn drop(&mut self) {
         if let Some(id) = self.timer.take() {
             self.sim.cancel_timer(id);
+        }
+    }
+}
+
+/// Future returned by [`Sim::steps`].
+pub struct Steps {
+    sim: Sim,
+    state: StepsState,
+}
+
+enum StepsState {
+    /// Not polled yet.
+    Fresh(StepFn),
+    /// Installed in `task`'s slot under `token`.
+    Installed {
+        task: TaskId,
+        token: u64,
+    },
+    Done,
+}
+
+impl Future for Steps {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        let current = self.sim.inner.hub.current.get();
+        assert_ne!(current, NO_TASK, "Sim::steps must be awaited inside a task of its simulation");
+        let pending = match std::mem::replace(&mut self.state, StepsState::Done) {
+            StepsState::Fresh(step) => {
+                let inner = &self.sim.inner;
+                let token = inner.step_tokens.get();
+                inner.step_tokens.set(token + 1);
+                let mut m = StepMachine { step, deadline: 0, timer: None, token };
+                let pending = self.sim.advance(&mut m, current);
+                if pending {
+                    let mut tasks = inner.tasks.borrow_mut();
+                    let slot = &mut tasks[current];
+                    assert!(slot.machine.is_none(), "a task runs one step machine at a time");
+                    slot.machine = Some(m);
+                    drop(tasks);
+                    self.state = StepsState::Installed { task: current, token };
+                }
+                pending
+            }
+            StepsState::Installed { task, token } => {
+                debug_assert_eq!(task, current, "a step machine is polled by its own task");
+                let pending = self.sim.step_due(task, Some(token));
+                if pending {
+                    self.state = StepsState::Installed { task, token };
+                }
+                pending
+            }
+            StepsState::Done => false,
+        };
+        if pending {
+            Poll::Pending
+        } else {
+            Poll::Ready(())
+        }
+    }
+}
+
+impl Drop for Steps {
+    fn drop(&mut self) {
+        if let StepsState::Installed { task, token } = self.state {
+            let taken = {
+                let mut tasks = self.sim.inner.tasks.borrow_mut();
+                let slot = &mut tasks[task];
+                match &slot.machine {
+                    Some(m) if m.token == token => slot.machine.take(),
+                    _ => None,
+                }
+            };
+            if let Some(id) = taken.and_then(|m| m.timer) {
+                self.sim.cancel_timer(id);
+            }
         }
     }
 }
@@ -1100,6 +1317,58 @@ mod tests {
         assert_eq!(st.timers_cancelled, 0);
         assert!(st.polls >= 3);
         assert_eq!(st.wakes, st.timers_fired);
+    }
+
+    #[test]
+    fn wake_before_the_deadline_runs_no_step() {
+        let sim = Sim::new();
+        let calls = Rc::new(Cell::new(0u32));
+        let notify = crate::event::Notify::new();
+        let (s, c, n) = (sim.clone(), calls.clone(), notify.clone());
+        sim.spawn(async move {
+            let steps = s.steps(move |_| {
+                c.set(c.get() + 1);
+                (c.get() == 1).then_some(10)
+            });
+            let won = crate::sync::race(steps, n.wait_until(|| false)).await;
+            assert_eq!(won, crate::sync::Either::Left(()));
+            assert_eq!(s.now(), 10);
+        });
+        let (s, c) = (sim.clone(), calls.clone());
+        sim.spawn(async move {
+            s.delay(5).await;
+            // Wakes the stepping task, which must not step before 10.
+            notify.notify_all();
+            s.delay(1).await;
+            assert_eq!(c.get(), 1);
+        });
+        assert_eq!(sim.run().unwrap(), 10);
+        assert_eq!(calls.get(), 2);
+        // Spawn polls 2, the early wake 1, the B resume at 5 and 6 and
+        // the step-machine turn at 10.
+        assert_eq!(sim.engine_stats().polls, 6);
+    }
+
+    #[test]
+    fn dropped_steps_withdraw_their_timer() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            let endless = s.steps(|sim| Some(sim.now() + 1_000_000));
+            crate::sync::race(endless, s.delay(10)).await;
+            assert_eq!(s.pending_timers(), 0);
+        });
+        assert_eq!(sim.run().unwrap(), 10);
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(sim.engine_stats().timers_cancelled, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a task")]
+    fn steps_polled_outside_a_task_panic() {
+        let sim = Sim::new();
+        let mut steps = std::pin::pin!(sim.steps(|_| None));
+        let _ = steps.as_mut().poll(&mut Context::from_waker(Waker::noop()));
     }
 
     /// Poll a future exactly once with a no-op waker, then drop it.

@@ -35,6 +35,7 @@ pub mod critpath;
 pub mod event;
 mod executor;
 pub mod faultplan;
+pub mod hash;
 pub mod link;
 pub mod obs;
 pub mod rng;
@@ -44,5 +45,5 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use executor::{EngineStats, JoinHandle, Sim, SimError};
+pub use executor::{EngineStats, JoinHandle, Sim, SimError, Steps};
 pub use time::{Cycles, Freq};

@@ -13,6 +13,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use des::hash::FxBuildHasher;
 use des::stats::Counter;
 
 use crate::geometry::GlobalCore;
@@ -21,10 +22,12 @@ use crate::LINE_BYTES;
 /// Identifies one 32 B line in the system: (owning core's region, line idx).
 pub type LineKey = (GlobalCore, u16);
 
-/// Per-core L1 model for MPBT lines.
+/// Per-core L1 model for MPBT lines. The line map is keyed with the
+/// deterministic [`FxBuildHasher`]: every cached load looks a line up,
+/// and nothing iterates the map, so the hasher changes no behaviour.
 #[derive(Default)]
 pub struct L1Model {
-    lines: RefCell<HashMap<LineKey, [u8; LINE_BYTES]>>,
+    lines: RefCell<HashMap<LineKey, [u8; LINE_BYTES], FxBuildHasher>>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,

@@ -244,3 +244,223 @@ fn clean_watchdogged_run_leaves_clock_at_app_completion() {
     );
     assert_eq!(sim.pending_timers(), 0, "watchdog race losers must be withdrawn");
 }
+
+// ---------------------------------------------------------------------
+// Contended routing golden
+// ---------------------------------------------------------------------
+
+/// BT class S on 16 ranks split 8 + 8 over two devices under
+/// `SimpleRouting`, fully traced, metered and audited: every sweep stage
+/// sends lines both ways through the host daemon at once, so routed
+/// round trips contend for the same SIF links and same-cycle timer ties
+/// are common. The fig6b goldens are two-rank ping-pongs where such ties
+/// are rare; this pin is the one that notices a reordering under
+/// contention. Returns `(now, cycles, messages, routed_lines)` and the
+/// FNV-1a hashes of the trace, metrics and audit exports.
+fn contended_routing_run() -> ((u64, u64, u64, u64), [u64; 3]) {
+    use des::obs::Registry;
+    use des::trace::Category;
+    use vscc_apps::npb::{run_bt, BtClass, BtConfig};
+
+    std::thread::spawn(|| {
+        let audit = des::audit::Audit::new(des::audit::DEFAULT_EPOCH_CYCLES);
+        let guard = audit.install();
+        let sim = Sim::new();
+        let reg = Registry::new();
+        let v = VsccBuilder::new(&sim, 2)
+            .scheme(CommScheme::SimpleRouting)
+            .metrics_registry(&reg)
+            .trace_categories(&Category::ALL)
+            .build();
+        audit.register_trace(v.trace());
+        let s = v.session_builder().cores_per_device(8).build();
+        let mut cfg = BtConfig::new(BtClass::S, 16);
+        cfg.measured = 1;
+        let res = run_bt(&s, &cfg).expect("contended routing BT");
+        assert!(res.verified, "routed BT payloads must verify");
+        drop(guard);
+        // Contended for real: all eight device-0 ranks queue on its SIF.
+        assert_eq!(reg.gauge("pcie.link0.egress.queue_depth").high_watermark(), 8);
+        let trace = des::obs::chrome_trace_json(&[("bt", v.trace())]);
+        let metrics = reg.snapshot().to_json();
+        let counts = (sim.now(), res.cycles, res.messages, v.host.stats.routed_lines.get());
+        (
+            counts,
+            [fnv1a(trace.as_bytes()), fnv1a(metrics.as_bytes()), fnv1a(audit.to_json().as_bytes())],
+        )
+    })
+    .join()
+    .expect("contended routing thread")
+}
+
+#[test]
+fn contended_routing_run_is_pinned() {
+    let (counts, hashes) = contended_routing_run();
+    assert_eq!(
+        counts,
+        (26_558_256, 13_277_849, 1_536, 12_768),
+        "(now, cycles, messages, routed_lines) drifted"
+    );
+    const GOLDEN_FNV: [u64; 3] =
+        [0x3a32_c807_40e3_ca3f, 0x3491_5a7c_a155_6b4e, 0x4144_a224_35ea_3516];
+    for (i, kind) in ["trace", "metrics", "audit"].into_iter().enumerate() {
+        assert_eq!(
+            hashes[i], GOLDEN_FNV[i],
+            "{kind} export of the contended routing run drifted (got {:#018x})",
+            hashes[i]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Step machines vs their async twins
+// ---------------------------------------------------------------------
+
+/// One task of a step-machine twin scenario: start time, hop list (a
+/// hop below `LINKS` is a transfer on that link, any other a 0–2-cycle
+/// delay), repeats of the hop list, and an interruption: 0 none, 1 a
+/// racing `delay(at)`, 2 a racing [`Gate`] that a helper pokes at `at`
+/// without opening it (a wake that must not step) and opens at `at + 7`.
+type TwinTask = (u64, Vec<u8>, usize, (u8, u64));
+
+/// A one-waiter gate that keeps the latest waker, as a channel does.
+#[derive(Clone, Default)]
+struct Gate {
+    open: Rc<Cell<bool>>,
+    waker: Rc<std::cell::RefCell<Option<std::task::Waker>>>,
+}
+
+impl Gate {
+    fn poke(&self, open: bool) {
+        self.open.set(open);
+        if let Some(w) = self.waker.borrow_mut().take() {
+            w.wake();
+        }
+    }
+
+    async fn wait(self) {
+        std::future::poll_fn(|cx| {
+            if self.open.get() {
+                return std::task::Poll::Ready(());
+            }
+            *self.waker.borrow_mut() = Some(cx.waker().clone());
+            std::task::Poll::Pending
+        })
+        .await
+    }
+}
+
+const LINKS: usize = 2;
+
+/// Everything a twin run can be compared on.
+#[derive(Debug, PartialEq)]
+struct TwinOutcome {
+    now: u64,
+    stats: des::EngineStats,
+    links: Vec<(u64, u64, u64)>,
+    log: Vec<(usize, u64)>,
+    pending_timers: usize,
+    audit: String,
+}
+
+fn run_twin(tasks: &[TwinTask], as_steps: bool) -> TwinOutcome {
+    use des::link::{Bandwidth, Link};
+    use std::cell::RefCell;
+
+    let audit = des::audit::Audit::new(64);
+    let guard = audit.install();
+    let sim = Sim::new();
+    // 8-byte transfers occupy 8 cycles: completions tie constantly.
+    let links: Rc<Vec<Link>> = Rc::new(
+        (0..LINKS as u64).map(|l| Link::new(Bandwidth::cycles_per_byte(1, 1), 2 * l, 0)).collect(),
+    );
+    let log: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
+    for (id, (start, hops, lines, (kind, at))) in tasks.iter().cloned().enumerate() {
+        let (s, links, log) = (sim.clone(), links.clone(), log.clone());
+        let gate = Gate::default();
+        if kind == 2 {
+            let (s, gate) = (sim.clone(), gate.clone());
+            sim.spawn(async move {
+                s.delay(at).await;
+                gate.poke(false);
+                s.delay(7).await;
+                gate.poke(true);
+            });
+        }
+        sim.spawn(async move {
+            s.delay(start).await;
+            let hop = move |sim: &Sim, h: u8| match links.get(h as usize) {
+                Some(link) => link.reserve(sim, 8),
+                None => sim.now() + h as u64 % 3,
+            };
+            let work: std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> = if as_steps {
+                let (mut phase, mut left, log) = (0, lines, log.clone());
+                Box::pin(s.steps(move |sim| {
+                    if phase == hops.len() {
+                        log.borrow_mut().push((id, sim.now()));
+                        left -= 1;
+                        phase = 0;
+                    }
+                    if left == 0 {
+                        return None;
+                    }
+                    phase += 1;
+                    Some(hop(sim, hops[phase - 1]))
+                }))
+            } else {
+                let (s, log) = (s.clone(), log.clone());
+                Box::pin(async move {
+                    for _ in 0..lines {
+                        for &h in &hops {
+                            let until = hop(&s, h);
+                            s.delay_until(until).await;
+                        }
+                        log.borrow_mut().push((id, s.now()));
+                    }
+                })
+            };
+            match kind {
+                1 => drop(des::sync::race(work, s.delay(at)).await),
+                2 => drop(des::sync::race(work, gate.wait()).await),
+                _ => work.await,
+            }
+            log.borrow_mut().push((id, u64::MAX));
+        });
+    }
+    sim.run().expect("twin run");
+    drop(guard);
+    let links =
+        links.iter().map(|l| (l.total_bytes(), l.total_transfers(), l.busy_cycles())).collect();
+    let log = log.borrow().clone();
+    TwinOutcome {
+        now: sim.now(),
+        stats: sim.engine_stats(),
+        links,
+        log,
+        pending_timers: sim.pending_timers(),
+        audit: audit.to_json(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// A step machine is indistinguishable from the `delay_until` loop
+    /// it replaces: same audit export (every poll, timer arm/fire/cancel,
+    /// wake and link grant, in order), same engine counters, same clock
+    /// and link totals — with tasks contending for shared links, tied
+    /// deadlines, zero-cycle waits, racing timeouts that drop machines
+    /// mid-run and foreign wakes before a machine's deadline.
+    #[test]
+    fn step_machines_match_their_async_twins(
+        tasks in prop::collection::vec(
+            (0u64..6, prop::collection::vec(0u8..6, 1..6), 1usize..4, (0u8..3, 0u64..80)),
+            1..7,
+        ),
+    ) {
+        let stepped = run_twin(&tasks, true);
+        let awaited = run_twin(&tasks, false);
+        prop_assert_eq!(stepped.pending_timers, 0);
+        prop_assert_eq!(stepped, awaited);
+    }
+}

@@ -403,4 +403,65 @@ proptest! {
             }
         }
     }
+
+    /// The L1 line map against a `BTreeMap` reference: any sequence of
+    /// lookups, fills, write-throughs and whole or ranged invalidations
+    /// returns the same (possibly stale) lines, counts the same hits,
+    /// misses and invalidations, and leaves the same lines resident.
+    #[test]
+    fn l1_model_matches_a_btreemap_oracle(
+        ops in prop::collection::vec((0u8..12, 0u8..4, 0u16..12, any::<u16>()), 0..200),
+    ) {
+        use std::collections::BTreeMap;
+        use scc::cache::L1Model;
+        use scc::geometry::GlobalCore;
+        use scc::LINE_BYTES;
+
+        let l1 = L1Model::new();
+        let mut oracle: BTreeMap<(GlobalCore, u16), [u8; LINE_BYTES]> = BTreeMap::new();
+        let (mut hits, mut misses, mut invalidations) = (0u64, 0u64, 0u64);
+        for (op, core, line, arg) in ops {
+            let key = (GlobalCore::new(core % 2, core), line);
+            match op {
+                // Lookups and fills dominate, as in a polling loop.
+                0..=3 => {
+                    let want = oracle.get(&key).copied();
+                    if want.is_some() { hits += 1 } else { misses += 1 }
+                    prop_assert_eq!(l1.lookup(key), want);
+                }
+                4..=6 => {
+                    let data = [arg as u8; LINE_BYTES];
+                    l1.fill(key, data);
+                    oracle.insert(key, data);
+                }
+                7..=9 => {
+                    let off = arg as usize % LINE_BYTES;
+                    let len = (arg as usize >> 8) % (LINE_BYTES - off) + 1;
+                    let bytes = vec![(arg >> 4) as u8; len];
+                    l1.write_through(key, off, &bytes);
+                    if let Some(l) = oracle.get_mut(&key) {
+                        l[off..off + len].copy_from_slice(&bytes);
+                    }
+                }
+                10 => {
+                    l1.invalidate_all();
+                    oracle.clear();
+                    invalidations += 1;
+                }
+                _ => {
+                    let offset = line * LINE_BYTES as u16 + arg % LINE_BYTES as u16;
+                    let len = (arg as usize >> 5) % (4 * LINE_BYTES) + 1;
+                    l1.invalidate_range(key.0, offset, len);
+                    // Exactly the lines that share a byte with the range.
+                    let bytes = offset as usize..offset as usize + len;
+                    oracle.retain(|&(owner, l), _| {
+                        let line = l as usize * LINE_BYTES..(l as usize + 1) * LINE_BYTES;
+                        owner != key.0 || line.end <= bytes.start || bytes.end <= line.start
+                    });
+                }
+            }
+            prop_assert_eq!(l1.stats(), (hits, misses, invalidations));
+            prop_assert_eq!(l1.resident(), oracle.len());
+        }
+    }
 }
